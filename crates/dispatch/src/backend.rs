@@ -37,7 +37,10 @@
 //! with capped exponential backoff + seeded jitter between attempts.
 //! `worker_respawns`, `deadline_timeouts`, and `task_retries` count the
 //! events.  Task-level errors the worker *reports* (an `Error` frame) are
-//! not crashes and propagate to the caller without a respawn.
+//! not crashes and propagate to the caller without a respawn.  Neither is
+//! a missing `mcdbr-worker` executable: it fails the first dispatched
+//! block with [`WireError::MissingWorker`] (path in the message) instead
+//! of riding the ladder into silent local degradation.
 //!
 //! **Circuit breaker.**  Each worker slot carries a breaker: repeated
 //! crash-class failures (3 consecutive) trip it and the slot's tasks
@@ -394,34 +397,31 @@ impl ProcessBackend {
     /// Resolve the `mcdbr-worker` binary: the `MCDBR_WORKER_BIN`
     /// environment variable when set, else a sibling of the current
     /// executable (hopping out of cargo's `deps/` / `examples/`
-    /// directories).
-    fn worker_binary() -> WireResult<PathBuf> {
-        if let Ok(path) = std::env::var("MCDBR_WORKER_BIN") {
-            return Ok(PathBuf::from(path));
-        }
-        let exe = std::env::current_exe()?;
-        let mut dir = exe
-            .parent()
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("."));
-        if dir
-            .file_name()
-            .is_some_and(|n| n == "deps" || n == "examples")
-        {
-            dir.pop();
-        }
-        let candidate = dir.join(format!("mcdbr-worker{}", std::env::consts::EXE_SUFFIX));
-        if candidate.exists() {
+    /// directories).  A path with no file behind it is
+    /// [`WireError::MissingWorker`] — a configuration error that dispatch
+    /// surfaces on the first block instead of retrying around it.
+    pub fn worker_binary() -> WireResult<PathBuf> {
+        let candidate = match std::env::var_os("MCDBR_WORKER_BIN") {
+            Some(path) => PathBuf::from(path),
+            None => {
+                let exe = std::env::current_exe()?;
+                let mut dir = exe
+                    .parent()
+                    .map(PathBuf::from)
+                    .unwrap_or_else(|| PathBuf::from("."));
+                if dir
+                    .file_name()
+                    .is_some_and(|n| n == "deps" || n == "examples")
+                {
+                    dir.pop();
+                }
+                dir.join(format!("mcdbr-worker{}", std::env::consts::EXE_SUFFIX))
+            }
+        };
+        if candidate.is_file() {
             Ok(candidate)
         } else {
-            Err(WireError::Io(
-                std::io::ErrorKind::NotFound,
-                format!(
-                    "worker binary not found at {} (build the `mcdbr-worker` bin of \
-                     mcdbr-dispatch, or point MCDBR_WORKER_BIN at it)",
-                    candidate.display()
-                ),
-            ))
+            Err(WireError::MissingWorker(candidate))
         }
     }
 
@@ -629,9 +629,10 @@ impl ProcessBackend {
 
     /// Whether a wire failure warrants a respawn + re-dispatch (crashes and
     /// protocol breakdowns do; a task-level `Error` frame does not — the
-    /// worker is healthy and the failure is deterministic).
+    /// worker is healthy and the failure is deterministic — and neither
+    /// does a missing worker binary, which no respawn can fix).
     fn is_crash(err: &WireError) -> bool {
-        !matches!(err, WireError::Remote(_))
+        !matches!(err, WireError::Remote(_) | WireError::MissingWorker(_))
     }
 
     /// Record a crash-class failure on slot `i`'s breaker, counting trips.

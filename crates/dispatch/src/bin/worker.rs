@@ -14,9 +14,23 @@
 
 fn main() {
     let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
     let mut input = stdin.lock();
-    let mut output = stdout.lock();
+    // Reply frames go to the stdout pipe directly, one vectored write per
+    // frame, not through std's line-buffered `Stdout` (which would split a
+    // binary frame at every newline byte it carries).
+    #[cfg(unix)]
+    let mut output = {
+        use std::os::fd::AsFd;
+        match std::io::stdout().as_fd().try_clone_to_owned() {
+            Ok(fd) => std::fs::File::from(fd),
+            Err(e) => {
+                eprintln!("mcdbr-worker: cannot open stdout: {e}");
+                std::process::exit(1);
+            }
+        }
+    };
+    #[cfg(not(unix))]
+    let mut output = std::io::stdout().lock();
     let faults = mcdbr_faults::env_injector();
     if let Err(e) =
         mcdbr_dispatch::worker::run_worker_with_faults(&mut input, &mut output, faults.as_deref())

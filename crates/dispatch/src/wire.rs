@@ -57,7 +57,7 @@
 //! owns the data, and the plan's table references resolve against the
 //! server's own catalog.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 
 use mcdbr_exec::plan::{OutputColumn, RandomTableSpec};
@@ -120,6 +120,9 @@ pub enum WireError {
     Io(std::io::ErrorKind, String),
     /// The worker answered with an `Error` frame carrying this message.
     Remote(String),
+    /// No `mcdbr-worker` executable exists at this path: a deployment
+    /// error, so the dispatcher fails the block instead of retrying.
+    MissingWorker(std::path::PathBuf),
 }
 
 impl std::fmt::Display for WireError {
@@ -142,6 +145,12 @@ impl std::fmt::Display for WireError {
             WireError::Unserializable(what) => write!(f, "not wire-serializable: {what}"),
             WireError::Io(kind, msg) => write!(f, "wire I/O failure ({kind:?}): {msg}"),
             WireError::Remote(msg) => write!(f, "worker error: {msg}"),
+            WireError::MissingWorker(path) => write!(
+                f,
+                "worker binary not found at {} (build the `mcdbr-worker` bin of \
+                 mcdbr-dispatch, or point MCDBR_WORKER_BIN at it)",
+                path.display()
+            ),
         }
     }
 }
@@ -263,11 +272,37 @@ fn put_chain(out: &mut Vec<u8>, chain: &ValueChain) {
 /// Write one length-prefixed frame, returning the total bytes written
 /// (prefix included).  The caller flushes the stream when the message
 /// boundary requires it.
+///
+/// Prefix and payload go out as **one** vectored write — one syscall on a
+/// socket or pipe, with no copy of the payload.  Two writes per frame (a
+/// 4-byte prefix, then the payload) are what trip Nagle's algorithm
+/// against the peer's delayed ACK on TCP: the payload waits ~40 ms for
+/// the ACK of its own prefix.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> WireResult<u64> {
     debug_assert!(payload.len() as u64 <= MAX_FRAME_LEN as u64);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    write_prefixed(w, &(payload.len() as u32).to_le_bytes(), payload)?;
     Ok(4 + payload.len() as u64)
+}
+
+/// Write `head` then `tail` through `write_vectored`, resuming after short
+/// writes until both are out.
+fn write_prefixed(w: &mut impl Write, head: &[u8], tail: &[u8]) -> std::io::Result<()> {
+    let total = head.len() + tail.len();
+    let mut done = 0usize;
+    while done < total {
+        let bufs = if done < head.len() {
+            [IoSlice::new(&head[done..]), IoSlice::new(tail)]
+        } else {
+            [IoSlice::new(&tail[done - head.len()..]), IoSlice::new(&[])]
+        };
+        match w.write_vectored(&bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// [`write_frame`] behind a fault injector: consults the drop-frame,
@@ -298,8 +333,11 @@ pub fn write_frame_faulty(
     if inj.decide(FaultPoint::PartialWrite) == Some(FaultAction::Truncate) {
         // Length prefix plus roughly half the payload: the peer sees a
         // truncated or desynced stream, never a silently-wrong frame.
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(&payload[..payload.len() / 2])?;
+        write_prefixed(
+            w,
+            &(payload.len() as u32).to_le_bytes(),
+            &payload[..payload.len() / 2],
+        )?;
         let _ = w.flush();
         return Ok(nominal);
     }
@@ -1558,4 +1596,108 @@ fn get_table(d: &mut Dec<'_>) -> WireResult<Table> {
         .collect();
     Table::from_parts(schema, pages, tail)
         .map_err(|e| WireError::Corrupt(format!("table snapshot: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcdbr_faults::{FaultInjector, FaultPlan};
+
+    /// A sink that records every `write`/`write_vectored` call and, up to
+    /// `max_per_call` bytes a call, accepts everything it is handed.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+        max_per_call: usize,
+    }
+
+    impl CountingWriter {
+        fn new(max_per_call: usize) -> Self {
+            CountingWriter {
+                bytes: Vec::new(),
+                calls: 0,
+                max_per_call,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.max_per_call;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.max_per_call - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn injector(spec: &str) -> FaultInjector {
+        FaultInjector::new(FaultPlan::parse(spec).unwrap())
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let payloads = [encode_hello(), encode_shutdown(), vec![7u8; 1 << 16]];
+        let mut w = CountingWriter::new(usize::MAX);
+        for (i, payload) in payloads.iter().enumerate() {
+            let n = write_frame(&mut w, payload).unwrap();
+            assert_eq!(n, 4 + payload.len() as u64);
+            assert_eq!(w.calls, i + 1, "frame {i} took more than one write");
+        }
+        // A delayed frame is still one write.
+        write_frame_faulty(&mut w, &payloads[0], Some(&injector("seed=1,delay=1:1"))).unwrap();
+        assert_eq!(w.calls, payloads.len() + 1);
+
+        let mut r = std::io::Cursor::new(w.bytes);
+        for payload in payloads.iter().chain([&payloads[0]]) {
+            let (got, _) = read_frame(&mut r).unwrap().unwrap();
+            assert_eq!(&got, payload);
+        }
+        assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    #[test]
+    fn short_writes_still_deliver_the_frame_intact() {
+        let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        // 3 bytes a call: the prefix itself splits, then the payload does.
+        let mut w = CountingWriter::new(3);
+        assert_eq!(write_frame(&mut w, &payload).unwrap(), 1004);
+        assert_eq!(w.calls, 1004usize.div_ceil(3));
+        let (got, n) = read_frame(&mut std::io::Cursor::new(w.bytes))
+            .unwrap()
+            .unwrap();
+        assert_eq!((got, n), (payload, 1004));
+    }
+
+    #[test]
+    fn faulty_writes_keep_their_drop_and_partial_semantics() {
+        let payload = encode_error("a reply the peer must never misread");
+        let nominal = 4 + payload.len() as u64;
+
+        let mut w = CountingWriter::new(usize::MAX);
+        let n = write_frame_faulty(&mut w, &payload, Some(&injector("seed=1,drop=1"))).unwrap();
+        assert_eq!((n, w.calls), (nominal, 0), "a dropped frame writes nothing");
+
+        let n = write_frame_faulty(&mut w, &payload, Some(&injector("seed=1,partial=1"))).unwrap();
+        assert_eq!((n, w.calls), (nominal, 1), "a truncated frame is one write");
+        assert_eq!(w.bytes.len(), 4 + payload.len() / 2);
+        let err = read_frame(&mut std::io::Cursor::new(w.bytes)).unwrap_err();
+        assert_eq!(
+            err,
+            WireError::Truncated {
+                what: "frame payload"
+            }
+        );
+    }
 }

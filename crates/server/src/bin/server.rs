@@ -11,10 +11,14 @@
 //! `MCDBR_SHARDS` / `MCDBR_WORKERS`).  `--addr 127.0.0.1:0` binds an
 //! ephemeral port; `--port-file` writes the bound `host:port` so scripts
 //! (CI, loadgen) can find it.  The process exits after a client sends the
-//! `Shutdown` frame and every in-flight query has drained.
+//! `Shutdown` frame and every in-flight query has drained.  Under
+//! `MCDBR_BACKEND=process` it refuses to start when the `mcdbr-worker`
+//! executable cannot be found.
 
 use std::process::ExitCode;
 
+use mcdbr_dispatch::ProcessBackend;
+use mcdbr_exec::BackendKind;
 use mcdbr_server::demo;
 use mcdbr_server::service::{Server, ServerConfig};
 
@@ -45,6 +49,15 @@ fn main() -> ExitCode {
                 eprintln!("mcdbr-server: unknown argument `{other}`");
                 usage();
             }
+        }
+    }
+
+    // A process backend with no worker executable would fail every query;
+    // refuse to start instead.
+    if mcdbr_exec::default_backend_kind() == Some(BackendKind::Process) {
+        if let Err(err) = ProcessBackend::worker_binary() {
+            eprintln!("mcdbr-server: {err}");
+            return ExitCode::FAILURE;
         }
     }
 

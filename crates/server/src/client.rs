@@ -43,8 +43,14 @@ pub struct ServerClient {
 
 impl ServerClient {
     /// Connect and run the `Hello` handshake (client speaks first).
+    ///
+    /// The socket runs with `TCP_NODELAY`: every request is one frame in
+    /// one write ([`wire::write_frame`]), so Nagle's algorithm has nothing
+    /// to coalesce and would only hold a query back behind the server's
+    /// delayed ACK.
     pub fn connect(addr: impl ToSocketAddrs) -> WireResult<ServerClient> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         let mut client = ServerClient {
             reader,

@@ -386,8 +386,11 @@ fn write_reply(
     wire::write_frame(writer, payload)
 }
 
-/// Handshake then request loop for one connection.
+/// Handshake then request loop for one connection.  Replies go out with
+/// `TCP_NODELAY` set, one write per frame, so no reply frame waits on the
+/// client's delayed ACK.
 fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let faults = mcdbr_faults::env_injector();

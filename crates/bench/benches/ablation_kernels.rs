@@ -15,8 +15,12 @@
 //!   block (counting global allocator, outside the timer) accompanies the
 //!   wall-clock numbers, since "filters stop materializing row copies" is
 //!   the structural claim.
-//! * `aggregate/*` — selection-vector, column-at-a-time per-repetition
-//!   aggregation vs the scalar bundles-inner loop, with a final predicate.
+//! * `aggregate/*` — per-repetition aggregation: the dense-lane
+//!   naive-baseline `SUM` over the TPC-H join (no selection at all), and
+//!   selection-vector, column-at-a-time aggregation vs the scalar
+//!   bundles-inner loop with a final predicate.  Each arm records its
+//!   allocations per call, and the dense arm's count is gated: it must not
+//!   grow with the bundle count.
 //!
 //! Every result lands in `BENCH_ablation_kernels.json` (values/sec plus
 //! `allocs_per_block` metrics) via the criterion stand-in's report.
@@ -32,13 +36,13 @@ use mcdbr_bench::test_tpch;
 use mcdbr_exec::aggregate::evaluate_aggregate_threads;
 use mcdbr_exec::plan::scalar_random_table;
 use mcdbr_exec::{
-    set_kernel_mode, AggregateSpec, BlockBufferPool, DeterministicPrefix, ExecBackend, ExecSession,
-    Expr, KernelMode, PlanNode,
+    set_kernel_mode, AggregateSpec, BlockBufferPool, BundleSet, DeterministicPrefix, ExecBackend,
+    ExecSession, Expr, KernelMode, PlanNode,
 };
 use mcdbr_prng::{seed_for, RandomStream, SeedId};
 use mcdbr_storage::{Catalog, ColumnBlock, Value};
 use mcdbr_vg::{AliasDiscreteVg, BoxMullerNormalVg, DiscreteVg, NormalVg, VgFunction};
-use mcdbr_workloads::{customer_losses_catalog, customer_losses_query};
+use mcdbr_workloads::{customer_losses_catalog, customer_losses_query, TpchConfig, TpchWorkload};
 
 /// A pass-through allocator that counts every allocation, so the bench can
 /// report allocations-per-block for each kernel mode.
@@ -321,9 +325,61 @@ fn bench_join(c: &mut Criterion) {
     bench_modes(c, &w, block);
 }
 
-/// Selection-vector aggregation (bundles-outer, `SelVec::slice_in_range`)
-/// vs the scalar reps-outer/bundles-inner loop, with a final predicate.
+/// One block of the Appendix D naive-baseline query (`random_ord ⋈
+/// lineitem` at test scale, with `num_lineitems` join rows).
+fn tpch_block(num_lineitems: usize, reps: usize) -> BundleSet {
+    let w = TpchWorkload::generate(TpchConfig {
+        num_lineitems,
+        ..TpchConfig::test_scale()
+    })
+    .expect("workload generation");
+    let q = w.total_loss_query();
+    ExecSession::prepare(&q.plan, &w.catalog, 7)
+        .unwrap()
+        .instantiate_block(&w.catalog, 0, reps)
+        .unwrap()
+}
+
+/// Per-repetition aggregation, one thread, three arms:
+///
+/// * `dense` — the naive-baseline `SUM(val)` over the TPC-H join with no
+///   final predicate: every bundle folds into its group's lane as one
+///   dense pass, with no selection vector built.
+/// * `selvec` / `scalar` — the §2 losses query with a final predicate:
+///   the selection-vector column path vs the scalar bundles-inner loop.
+///
+/// Every arm records its allocations per aggregate call.  Outside the
+/// timer, the dense arm's count must not grow with the bundle count
+/// (100 vs 800 join rows): the lane layout allocates per group and per
+/// range, never per bundle.
 fn bench_aggregate(c: &mut Criterion) {
+    let dense_reps = 1_000usize;
+    let dense_agg = AggregateSpec::sum(Expr::col("val"), "totalLoss");
+    let dense = tpch_block(800, dense_reps);
+    let dense_allocs = |set: &BundleSet| {
+        count_allocs(|| {
+            criterion::black_box(
+                evaluate_aggregate_threads(set, &dense_agg, &[], None, 1).unwrap(),
+            );
+        })
+    };
+    let small_allocs = dense_allocs(&tpch_block(100, dense_reps));
+    let large_allocs = dense_allocs(&dense);
+    println!(
+        "aggregate/dense/allocs_per_block/{dense_reps}: {small_allocs} (100 join rows), \
+         {large_allocs} (800 join rows)"
+    );
+    assert_eq!(
+        small_allocs, large_allocs,
+        "dense aggregation allocates per bundle: {small_allocs} allocations over 100 join \
+         rows, {large_allocs} over 800"
+    );
+    criterion::record_metric(
+        format!("aggregate/dense/{dense_reps}"),
+        "allocs_per_block",
+        large_allocs as f64,
+    );
+
     let catalog = customer_losses_catalog(400, (1.0, 5.0), 11).unwrap();
     let q = customer_losses_query(None);
     let reps = 2048usize;
@@ -333,13 +389,38 @@ fn bench_aggregate(c: &mut Criterion) {
         .unwrap();
     let agg = AggregateSpec::sum(Expr::col("val"), "total");
     let pred = Expr::col("val").gt(Expr::lit(3.5));
-    let mut group = c.benchmark_group("aggregate");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements((set.bundles.len() * reps) as u64));
-    for (mode, mode_label) in [
+    let modes = [
         (KernelMode::Auto, "selvec"),
         (KernelMode::ForceScalar, "scalar"),
-    ] {
+    ];
+    for (mode, mode_label) in modes {
+        set_kernel_mode(mode);
+        let allocs = count_allocs(|| {
+            criterion::black_box(
+                evaluate_aggregate_threads(&set, &agg, &[], Some(&pred), 1).unwrap(),
+            );
+        });
+        set_kernel_mode(KernelMode::Auto);
+        println!("aggregate/{mode_label}/allocs_per_block/{reps}: {allocs}");
+        criterion::record_metric(
+            format!("aggregate/{mode_label}/{reps}"),
+            "allocs_per_block",
+            allocs as f64,
+        );
+    }
+
+    let mut group = c.benchmark_group("aggregate");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(
+        (dense.bundles.len() * dense_reps) as u64,
+    ));
+    group.bench_with_input(
+        BenchmarkId::new("dense", dense_reps),
+        &dense_reps,
+        |b, _| b.iter(|| evaluate_aggregate_threads(&dense, &dense_agg, &[], None, 1).unwrap()),
+    );
+    group.throughput(Throughput::Elements((set.bundles.len() * reps) as u64));
+    for (mode, mode_label) in modes {
         group.bench_with_input(BenchmarkId::new(mode_label, reps), &reps, |b, _| {
             set_kernel_mode(mode);
             b.iter(|| evaluate_aggregate_threads(&set, &agg, &[], Some(&pred), 1).unwrap());

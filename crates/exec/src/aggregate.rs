@@ -11,6 +11,8 @@
 //! simultaneous queries" — group keys must therefore be deterministic
 //! (constant) attributes.
 
+use std::ops::Range;
+
 use mcdbr_storage::{Error, Mask, Result, Schema, SelVec, Value};
 
 use crate::bundle::{BundleSet, BundleValue};
@@ -140,9 +142,10 @@ pub fn evaluate_aggregate(
     evaluate_aggregate_threads(set, agg, group_by, final_predicate, par::default_threads())
 }
 
-/// [`evaluate_aggregate`] with an explicit worker-thread count.  Repetitions
-/// are independent, and bundle order within a repetition is preserved, so
-/// the result is bit-identical for every thread count.
+/// [`evaluate_aggregate`] with an explicit worker-thread count.  The
+/// repetitions split into at most `threads` balanced contiguous ranges;
+/// within a repetition bundles are folded in set order, so the result is
+/// bit-identical for every thread count.
 pub fn evaluate_aggregate_threads(
     set: &BundleSet,
     agg: &AggregateSpec,
@@ -150,58 +153,26 @@ pub fn evaluate_aggregate_threads(
     final_predicate: Option<&Expr>,
     threads: usize,
 ) -> Result<QueryResultSamples> {
-    let layout = GroupLayout::discover(set, group_by)?;
-    let per_rep = accumulate_all(set, &layout, agg, final_predicate, threads)?;
-    Ok(layout.finish(per_rep, agg.func, group_by))
-}
-
-/// Every repetition's accumulators, fanned out across `threads`.  The
-/// vectorized plan partitions repetitions into balanced contiguous ranges
-/// and sweeps bundles column-at-a-time within each; the scalar fallback
-/// fans out per repetition.  Within a repetition bundles are visited in set
-/// order either way, so floating-point accumulation order (and hence every
-/// bit of the result) is independent of the thread count and of which path
-/// ran.
-fn accumulate_all(
-    set: &BundleSet,
-    layout: &GroupLayout,
-    agg: &AggregateSpec,
-    final_predicate: Option<&Expr>,
-    threads: usize,
-) -> Result<Vec<Vec<Accum>>> {
-    if let Some(plan) = compile_plan(set, layout, agg, final_predicate) {
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut lo = 0usize;
-        for len in mcdbr_prng::balanced_chunks(set.num_reps, threads.max(1)) {
-            ranges.push(lo..lo + len);
-            lo += len;
-        }
-        let chunks: Vec<Vec<Vec<Accum>>> = par::try_par_map_threads(&ranges, threads, |range| {
-            Ok(accumulate_range(&plan, range.start, range.end))
-        })?;
-        return Ok(chunks.into_iter().flatten().collect());
-    }
-    let reps: Vec<usize> = (0..set.num_reps).collect();
-    par::try_par_map_threads(&reps, threads, |&rep| {
-        accumulate_rep(set, layout, agg, final_predicate, rep)
-    })
+    evaluate_aggregate_partials(set, agg, group_by, final_predicate, threads, threads)
+        .map(|(samples, _)| samples)
 }
 
 /// The sharded-partials variant behind
 /// [`crate::shard::ShardedBackend::aggregate`]: repetitions are partitioned
 /// into at most `shards` contiguous ranges, each range becomes one aggregate
 /// partial (computed concurrently, up to `threads` at a time), and partials
-/// merge back in repetition order.
+/// are finished back in repetition order.
 ///
 /// Shards partition **repetitions**, not bundles, because the accumulation
 /// order over bundles *within* a repetition is the floating-point
 /// bit-identity contract: a repetition's fold must happen wholly inside one
-/// shard.  Since every repetition is computed by exactly one partial and
-/// partials concatenate in order, the result is bit-identical to
-/// [`evaluate_aggregate_threads`] for every shard count.
+/// shard.  Since every repetition is computed by exactly one partial, the
+/// result is bit-identical to [`evaluate_aggregate_threads`] for every
+/// shard count.  Partials finish straight into the per-group sample
+/// vectors, exactly as the unsharded path does, so there is no separate
+/// merge step to account.
 ///
-/// Returns `(samples, partials spawned, merge nanoseconds)` so the backend
-/// can account its sharding activity.
+/// Returns `(samples, partials spawned)`.
 pub(crate) fn evaluate_aggregate_partials(
     set: &BundleSet,
     agg: &AggregateSpec,
@@ -209,52 +180,24 @@ pub(crate) fn evaluate_aggregate_partials(
     final_predicate: Option<&Expr>,
     shards: usize,
     threads: usize,
-) -> Result<(QueryResultSamples, usize, u64)> {
-    let layout = GroupLayout::discover(set, group_by)?;
-
-    // Balanced ranges (sizes differ by at most one), sharing the stream-key
-    // partitioner's balancing rule: exactly min(shards, n) partials, so no
-    // worker slot idles behind an oversized ceil-division chunk.
-    let n = set.num_reps;
-    let lens = mcdbr_prng::balanced_chunks(n, shards);
-    let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(lens.len());
-    let mut lo = 0usize;
-    for len in lens {
-        ranges.push(lo..lo + len);
-        lo += len;
-    }
-    let spawned = ranges.len();
-
-    let plan = compile_plan(set, &layout, agg, final_predicate);
-    let partials: Vec<Vec<Vec<Accum>>> = par::try_par_map_threads(&ranges, threads, |range| {
-        if let Some(plan) = &plan {
-            return Ok(accumulate_range(plan, range.start, range.end));
-        }
-        range
-            .clone()
-            .map(|rep| accumulate_rep(set, &layout, agg, final_predicate, rep))
-            .collect::<Result<Vec<Vec<Accum>>>>()
-    })?;
-
-    // Only the partial concatenation is merge overhead; building the result
-    // groups (`finish`) is work the unsharded path performs identically, so
-    // timing it here would overstate the cost of sharding.
-    let merge_start = std::time::Instant::now();
-    let per_rep: Vec<Vec<Accum>> = partials.into_iter().flatten().collect();
-    let merge_ns = merge_start.elapsed().as_nanos() as u64;
-    let samples = layout.finish(per_rep, agg.func, group_by);
-    Ok((samples, spawned, merge_ns))
+) -> Result<(QueryResultSamples, usize)> {
+    let plan = AggPlan::new(set, agg, group_by, final_predicate)?;
+    let partials = plan.partials(shards, threads)?;
+    let spawned = partials.len();
+    Ok((plan.layout.finish(&partials, group_by), spawned))
 }
 
 /// One contiguous repetition range's accumulators, produced by
 /// [`aggregate_rep_range`] and merged by [`merge_rep_partials`] — the unit
 /// an *external* scheduler (e.g. `mcdbr-server`'s fair scheduler, which
-/// interleaves work from concurrent queries) fans aggregation out by.
-/// Opaque: the accumulator layout is this module's private contract.
+/// interleaves work from concurrent queries) fans aggregation out by, and
+/// the unit every internal path accumulates in.  Opaque: the lane layout
+/// is this module's private contract.
 #[derive(Debug)]
 pub struct AggPartial {
     lo: usize,
-    accs: Vec<Vec<Accum>>,
+    len: usize,
+    lanes: Lanes,
 }
 
 impl AggPartial {
@@ -265,12 +208,12 @@ impl AggPartial {
 
     /// Number of repetitions this partial covers.
     pub fn len(&self) -> usize {
-        self.accs.len()
+        self.len
     }
 
     /// Whether the range is empty.
     pub fn is_empty(&self) -> bool {
-        self.accs.is_empty()
+        self.len == 0
     }
 }
 
@@ -291,23 +234,15 @@ pub fn aggregate_rep_range(
     lo: usize,
     hi: usize,
 ) -> Result<AggPartial> {
-    let layout = GroupLayout::discover(set, group_by)?;
     let hi = hi.min(set.num_reps);
-    let lo = lo.min(hi);
-    let accs = if let Some(plan) = compile_plan(set, &layout, agg, final_predicate) {
-        accumulate_range(&plan, lo, hi)
-    } else {
-        (lo..hi)
-            .map(|rep| accumulate_rep(set, &layout, agg, final_predicate, rep))
-            .collect::<Result<Vec<Vec<Accum>>>>()?
-    };
-    Ok(AggPartial { lo, accs })
+    AggPlan::new(set, agg, group_by, final_predicate)?.range(lo.min(hi), hi)
 }
 
 /// Merge rep-range partials back into the per-group sample matrix.  The
 /// partials must exactly tile `0..set.num_reps` (any order — they are
-/// sorted by range start here); gaps, overlaps, or missing repetitions are
-/// an error rather than a silently wrong result.
+/// sorted by range start here) and must have been computed for `agg` over
+/// `set`'s group layout; gaps, overlaps, missing repetitions or mismatched
+/// partials are an error rather than a silently wrong result.
 pub fn merge_rep_partials(
     set: &BundleSet,
     agg: &AggregateSpec,
@@ -315,18 +250,24 @@ pub fn merge_rep_partials(
     mut partials: Vec<AggPartial>,
 ) -> Result<QueryResultSamples> {
     let layout = GroupLayout::discover(set, group_by)?;
-    partials.sort_by_key(|p| p.lo);
-    let mut per_rep: Vec<Vec<Accum>> = Vec::with_capacity(set.num_reps);
+    // Empty ranges sort ahead of the range they share a start with.
+    partials.sort_by_key(|p| (p.lo, p.len));
     let mut next = 0usize;
-    for partial in partials {
+    for partial in &partials {
         if partial.lo != next {
             return Err(Error::Invalid(format!(
                 "aggregate partials do not tile the repetitions: expected start {next}, got {}",
                 partial.lo
             )));
         }
-        next += partial.accs.len();
-        per_rep.extend(partial.accs);
+        if partial.lanes.func() != agg.func
+            || partial.lanes.slots() != layout.keys.len() * partial.len
+        {
+            return Err(Error::Invalid(
+                "aggregate partial was computed for a different aggregate or group layout".into(),
+            ));
+        }
+        next += partial.len;
     }
     if next != set.num_reps {
         return Err(Error::Invalid(format!(
@@ -334,12 +275,12 @@ pub fn merge_rep_partials(
             set.num_reps
         )));
     }
-    Ok(layout.finish(per_rep, agg.func, group_by))
+    Ok(layout.finish(&partials, group_by))
 }
 
 /// The group structure of a bundle set: every distinct key in first-seen
-/// order plus each bundle's group assignment.  Shared by the thread fan-out
-/// and the sharded-partials path so both resolve groups identically.
+/// order plus each bundle's group assignment.  Every path discovers it over
+/// the full set, so all of them resolve groups identically.
 struct GroupLayout {
     keys: Vec<Vec<Value>>,
     key_of_bundle: Vec<usize>,
@@ -398,21 +339,21 @@ impl GroupLayout {
         })
     }
 
-    fn finish(
-        self,
-        per_rep: Vec<Vec<Accum>>,
-        func: AggFunc,
-        group_by: &[String],
-    ) -> QueryResultSamples {
+    /// Finish `partials` (in repetition order) into one sample vector per
+    /// group: each group's result is its lane from every partial, in turn.
+    fn finish(self, partials: &[AggPartial], group_by: &[String]) -> QueryResultSamples {
+        let reps: usize = partials.iter().map(|p| p.len).sum();
         let groups = self
             .keys
             .into_iter()
             .enumerate()
             .map(|(gidx, key)| {
-                (
-                    key,
-                    per_rep.iter().map(|accs| accs[gidx].finish(func)).collect(),
-                )
+                let mut samples = Vec::with_capacity(reps);
+                for p in partials {
+                    p.lanes
+                        .finish_into(gidx * p.len..(gidx + 1) * p.len, &mut samples);
+                }
+                (key, samples)
             })
             .collect();
         QueryResultSamples {
@@ -422,42 +363,193 @@ impl GroupLayout {
     }
 }
 
-/// A pre-compiled columnar aggregation plan: per bundle, the aggregand
-/// evaluated across every repetition plus the selection vector of
-/// contributing repetitions (presence ∧ final predicate).  Compilation
-/// declines — whole-set scalar fallback — whenever any bundle leaves the
-/// vectorized subset (multi-segment chain, non-compilable expression,
-/// [`kernels::KernelMode::ForceScalar`]), so the plan is bit-identical to
-/// the scalar loop wherever it engages.
-struct AggPlan {
-    bundles: Vec<PlanBundle>,
-    num_groups: usize,
+/// Column-major accumulator lanes for one contiguous range of `len`
+/// repetitions: group `g` owns slots `g * len..(g + 1) * len`, one per
+/// repetition, so a bundle's contribution to a range is one pass over one
+/// contiguous lane.  Each function keeps only the state its result needs.
+#[derive(Debug)]
+enum Lanes {
+    /// Running sums.
+    Sum(Vec<f64>),
+    /// Contributing tuples.
+    Count(Vec<u64>),
+    /// `(contributing tuples, running sum)`.
+    Avg(Vec<(u64, f64)>),
+    /// `(contributing tuples, running minimum)`.
+    Min(Vec<(u64, f64)>),
+    /// `(contributing tuples, running maximum)`.
+    Max(Vec<(u64, f64)>),
 }
 
-struct PlanBundle {
+impl Lanes {
+    fn zeroed(func: AggFunc, slots: usize) -> Lanes {
+        match func {
+            AggFunc::Sum => Lanes::Sum(vec![0.0; slots]),
+            AggFunc::Count => Lanes::Count(vec![0; slots]),
+            AggFunc::Avg => Lanes::Avg(vec![(0, 0.0); slots]),
+            AggFunc::Min => Lanes::Min(vec![(0, 0.0); slots]),
+            AggFunc::Max => Lanes::Max(vec![(0, 0.0); slots]),
+        }
+    }
+
+    fn func(&self) -> AggFunc {
+        match self {
+            Lanes::Sum(_) => AggFunc::Sum,
+            Lanes::Count(_) => AggFunc::Count,
+            Lanes::Avg(_) => AggFunc::Avg,
+            Lanes::Min(_) => AggFunc::Min,
+            Lanes::Max(_) => AggFunc::Max,
+        }
+    }
+
+    fn slots(&self) -> usize {
+        match self {
+            Lanes::Sum(v) => v.len(),
+            Lanes::Count(v) => v.len(),
+            Lanes::Avg(v) | Lanes::Min(v) | Lanes::Max(v) => v.len(),
+        }
+    }
+
+    /// Store the scalar referee's accumulator for one `(repetition, group)`.
+    fn store(&mut self, slot: usize, acc: &Accum) {
+        match self {
+            Lanes::Sum(v) => v[slot] = acc.sum,
+            Lanes::Count(v) => v[slot] = acc.count,
+            Lanes::Avg(v) => v[slot] = (acc.count, acc.sum),
+            Lanes::Min(v) => v[slot] = (acc.count, acc.min),
+            Lanes::Max(v) => v[slot] = (acc.count, acc.max),
+        }
+    }
+
+    /// Append the finished values of `slots`, with [`Accum::finish`]'s
+    /// empty-instance conventions.
+    fn finish_into(&self, slots: Range<usize>, out: &mut Vec<f64>) {
+        match self {
+            Lanes::Sum(v) => out.extend_from_slice(&v[slots]),
+            Lanes::Count(v) => out.extend(v[slots].iter().map(|&c| c as f64)),
+            Lanes::Avg(v) => out.extend(v[slots].iter().map(|&(count, sum)| {
+                if count == 0 {
+                    f64::NAN
+                } else {
+                    sum / count as f64
+                }
+            })),
+            Lanes::Min(v) | Lanes::Max(v) => out.extend(v[slots].iter().map(
+                |&(count, extreme)| {
+                    if count == 0 {
+                        f64::NAN
+                    } else {
+                        extreme
+                    }
+                },
+            )),
+        }
+    }
+}
+
+/// One aggregate over one bundle set, ready to accumulate any repetition
+/// range: the group layout, plus — when every bundle is in the vectorized
+/// subset — one compiled column per bundle.  Compilation declines (the
+/// whole set takes the scalar [`accumulate_rep`] loop) whenever any bundle
+/// leaves that subset (multi-segment chain, non-compilable expression,
+/// [`kernels::KernelMode::ForceScalar`]), so the columnar path is
+/// bit-identical to the scalar loop wherever it engages.
+struct AggPlan<'a> {
+    set: &'a BundleSet,
+    agg: &'a AggregateSpec,
+    final_predicate: Option<&'a Expr>,
+    layout: GroupLayout,
+    columns: Option<Vec<PlanBundle<'a>>>,
+}
+
+/// A bundle's aggregand across every repetition, plus the repetitions that
+/// contribute (presence ∧ final predicate).  `sel == None` means all of
+/// them — no presence flags and no final predicate, or a mask that kept
+/// everything — so no selection vector is built and the bundle folds
+/// into its lane as one dense pass.
+struct PlanBundle<'a> {
     gidx: usize,
-    vals: NumVals,
-    sel: SelVec,
+    vals: NumVals<'a>,
+    sel: Option<SelVec>,
 }
 
-fn compile_plan(
-    set: &BundleSet,
+impl<'a> AggPlan<'a> {
+    fn new(
+        set: &'a BundleSet,
+        agg: &'a AggregateSpec,
+        group_by: &[String],
+        final_predicate: Option<&'a Expr>,
+    ) -> Result<AggPlan<'a>> {
+        let layout = GroupLayout::discover(set, group_by)?;
+        let columns = compile_columns(set, &layout, agg, final_predicate);
+        Ok(AggPlan {
+            set,
+            agg,
+            final_predicate,
+            layout,
+            columns,
+        })
+    }
+
+    /// Every repetition, as at most `parts` balanced contiguous ranges
+    /// (computed up to `threads` at a time), in repetition order.
+    fn partials(&self, parts: usize, threads: usize) -> Result<Vec<AggPartial>> {
+        let mut ranges: Vec<Range<usize>> = Vec::new();
+        let mut lo = 0usize;
+        for len in mcdbr_prng::balanced_chunks(self.set.num_reps, parts.max(1)) {
+            ranges.push(lo..lo + len);
+            lo += len;
+        }
+        par::try_par_map_threads(&ranges, threads, |r| self.range(r.start, r.end))
+    }
+
+    /// Accumulate the repetition range `lo..hi`.
+    fn range(&self, lo: usize, hi: usize) -> Result<AggPartial> {
+        let len = hi - lo;
+        let slots = self.layout.keys.len() * len;
+        let lanes = match &self.columns {
+            Some(columns) => accumulate_range(columns, self.agg.func, slots, lo, hi),
+            None => {
+                let mut lanes = Lanes::zeroed(self.agg.func, slots);
+                for rep in lo..hi {
+                    let accs = accumulate_rep(
+                        self.set,
+                        &self.layout,
+                        self.agg,
+                        self.final_predicate,
+                        rep,
+                    )?;
+                    for (gidx, acc) in accs.iter().enumerate() {
+                        lanes.store(gidx * len + rep - lo, acc);
+                    }
+                }
+                lanes
+            }
+        };
+        Ok(AggPartial { lo, len, lanes })
+    }
+}
+
+fn compile_columns<'a>(
+    set: &'a BundleSet,
     layout: &GroupLayout,
     agg: &AggregateSpec,
     final_predicate: Option<&Expr>,
-) -> Option<AggPlan> {
+) -> Option<Vec<PlanBundle<'a>>> {
     if !kernels::vectorized_enabled() {
         return None;
     }
     let schema = &set.schema;
     let n = set.num_reps;
-    let mut bundles = Vec::with_capacity(set.bundles.len());
+    let mut columns = Vec::with_capacity(set.bundles.len());
+    // One scratch lane row serves every bundle.
+    let mut lanes: Vec<Lane<'a>> = Vec::with_capacity(schema.len());
     for (bundle, &gidx) in set.bundles.iter().zip(&layout.key_of_bundle) {
         // Every attribute must be a broadcast constant or expose a single
         // contiguous column segment of exactly `n` repetitions to become an
         // expression lane (replenished chains are longer and multi-segment;
         // the scalar loop handles those).
-        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(bundle.values.len());
+        lanes.clear();
         for v in &bundle.values {
             lanes.push(match v {
                 BundleValue::Const(c) => Lane::Const(c),
@@ -471,64 +563,108 @@ fn compile_plan(
             });
         }
         let vals = kernels::numeric_values(&agg.expr, schema, &lanes, n)?;
-        let mut keep = match &bundle.is_pres {
-            None => Mask::ones(n),
-            Some(flags) => {
-                // Out-of-range repetitions count as absent, matching
-                // `TupleBundle::is_present`.
-                let mut m = Mask::zeros(n);
-                for (i, &f) in flags.iter().take(n).enumerate() {
-                    if f {
-                        m.set(i, true);
+        let sel = if bundle.is_pres.is_none() && final_predicate.is_none() {
+            None
+        } else {
+            let mut keep = match &bundle.is_pres {
+                None => Mask::ones(n),
+                Some(flags) => {
+                    // Out-of-range repetitions count as absent, matching
+                    // `TupleBundle::is_present`.
+                    let mut m = Mask::zeros(n);
+                    for (i, &f) in flags.iter().take(n).enumerate() {
+                        if f {
+                            m.set(i, true);
+                        }
                     }
+                    m
                 }
-                m
+            };
+            if let Some(pred) = final_predicate {
+                keep.and_assign(&kernels::predicate_mask(pred, schema, &lanes, n)?);
             }
+            (!keep.all()).then(|| SelVec::from_mask(&keep))
         };
-        if let Some(pred) = final_predicate {
-            let pm = kernels::predicate_mask(pred, schema, &lanes, n)?;
-            keep.and_assign(&pm);
-        }
-        bundles.push(PlanBundle {
-            gidx,
-            vals,
-            sel: SelVec::from_mask(&keep),
-        });
+        columns.push(PlanBundle { gidx, vals, sel });
     }
-    Some(AggPlan {
-        bundles,
-        num_groups: layout.keys.len(),
-    })
+    Some(columns)
 }
 
-/// Accumulate the contiguous repetition range `lo..hi` column-at-a-time:
-/// bundles in the outer loop (set order), each bundle's selection vector
-/// sliced to the range in the inner loop.  Per `(repetition, group)`
-/// accumulator the `add` calls arrive in exactly the scalar path's bundle
-/// order over exactly the same `f64`s, so the result is bit-identical to
-/// [`accumulate_rep`] over the same range.
-fn accumulate_range(plan: &AggPlan, lo: usize, hi: usize) -> Vec<Vec<Accum>> {
-    let mut accs = vec![vec![Accum::default(); plan.num_groups]; hi - lo];
-    for b in &plan.bundles {
-        let reps = b.sel.slice_in_range(lo, hi);
-        match &b.vals {
-            NumVals::Const(c) => {
-                for &rep in reps {
-                    accs[rep as usize - lo][b.gidx].add(*c);
+/// Accumulate the contiguous repetition range `lo..hi` column-at-a-time
+/// into `slots` fresh lane slots.  The function is matched once, outside
+/// every loop; each arm folds the bundles in set order with its own
+/// per-value step.  Per `(repetition, group)` slot the steps arrive in
+/// exactly the scalar path's bundle order over exactly the same `f64`s,
+/// starting from the same zero state and applying [`Accum::add`]'s
+/// arithmetic, so the result is bit-identical to [`accumulate_rep`].
+fn accumulate_range(
+    columns: &[PlanBundle<'_>],
+    func: AggFunc,
+    slots: usize,
+    lo: usize,
+    hi: usize,
+) -> Lanes {
+    let mut lanes = Lanes::zeroed(func, slots);
+    match &mut lanes {
+        Lanes::Sum(v) => fold_columns(columns, lo, hi, v, |s, x| *s += x),
+        Lanes::Count(v) => fold_columns(columns, lo, hi, v, |c, _| *c += 1),
+        Lanes::Avg(v) => fold_columns(columns, lo, hi, v, |(c, s), x| {
+            *c += 1;
+            *s += x;
+        }),
+        Lanes::Min(v) => fold_columns(columns, lo, hi, v, |(c, m), x| {
+            *m = if *c == 0 { x } else { m.min(x) };
+            *c += 1;
+        }),
+        Lanes::Max(v) => fold_columns(columns, lo, hi, v, |(c, m), x| {
+            *m = if *c == 0 { x } else { m.max(x) };
+            *c += 1;
+        }),
+    }
+    lanes
+}
+
+/// Fold every bundle's repetitions `lo..hi` into its group's lane with
+/// `step`.  A dense bundle (no selection) is one zipped pass —
+/// `lane[i] ⊕= v[lo + i]` — that the compiler vectorizes for `SUM`; a
+/// selected bundle visits its `SelVec` slice for the range.
+fn fold_columns<T>(
+    columns: &[PlanBundle<'_>],
+    lo: usize,
+    hi: usize,
+    lanes: &mut [T],
+    step: impl Fn(&mut T, f64),
+) {
+    let len = hi - lo;
+    for b in columns {
+        let lane = &mut lanes[b.gidx * len..(b.gidx + 1) * len];
+        match (&b.sel, &b.vals) {
+            (None, NumVals::Col(v)) => {
+                for (slot, &x) in lane.iter_mut().zip(&v[lo..hi]) {
+                    step(slot, x);
                 }
             }
-            NumVals::Col(v) => {
-                for &rep in reps {
-                    accs[rep as usize - lo][b.gidx].add(v[rep as usize]);
+            (None, &NumVals::Const(c)) => {
+                for slot in lane {
+                    step(slot, c);
+                }
+            }
+            (Some(sel), NumVals::Col(v)) => {
+                for &rep in sel.slice_in_range(lo, hi) {
+                    step(&mut lane[rep as usize - lo], v[rep as usize]);
+                }
+            }
+            (Some(sel), &NumVals::Const(c)) => {
+                for &rep in sel.slice_in_range(lo, hi) {
+                    step(&mut lane[rep as usize - lo], c);
                 }
             }
         }
     }
-    accs
 }
 
 /// Accumulate one repetition's aggregates over every group, visiting bundles
-/// in set order (the floating-point contract both parallel paths share).
+/// in set order — the scalar referee the columnar path must match.
 fn accumulate_rep(
     set: &BundleSet,
     layout: &GroupLayout,
@@ -770,7 +906,7 @@ mod tests {
         ] {
             let reference = evaluate_aggregate_threads(&set, &agg, &group, None, 1).unwrap();
             for shards in [1usize, 2, 3, 7] {
-                let (sharded, spawned, _merge_ns) =
+                let (sharded, spawned) =
                     evaluate_aggregate_partials(&set, &agg, &group, None, shards, 2).unwrap();
                 // 3 repetitions: never more partials than repetitions.
                 assert_eq!(spawned, shards.min(3));
@@ -793,7 +929,7 @@ mod tests {
             }
         }
         let agg = AggregateSpec::sum(Expr::col("loss"), "s");
-        let (res, spawned, _) = evaluate_aggregate_partials(&set, &agg, &[], None, 4, 2).unwrap();
+        let (res, spawned) = evaluate_aggregate_partials(&set, &agg, &[], None, 4, 2).unwrap();
         assert_eq!(spawned, 0);
         assert_eq!(res.single().unwrap(), &[] as &[f64]);
     }

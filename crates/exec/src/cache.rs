@@ -296,6 +296,19 @@ impl SessionCache {
                         // (we re-miss and build ourselves) — re-check.
                         continue;
                     }
+                    // A builder inserts its entry before it retires its
+                    // flight, so with the flights lock held an absent
+                    // flight and a present entry mean it landed after our
+                    // lookup: take the hit instead of building twice.
+                    None if self
+                        .entries
+                        .lock()
+                        .expect("cache poisoned")
+                        .map
+                        .contains_key(&key) =>
+                    {
+                        continue;
+                    }
                     None => {
                         let flight = Arc::new(Flight::default());
                         flights.insert(key, Arc::clone(&flight));

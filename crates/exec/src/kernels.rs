@@ -25,6 +25,7 @@
 //! both modes produce identical bundles, so flipping it mid-flight only
 //! affects speed, never results.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use mcdbr_storage::selvec::{cmp_const_f64, cmp_f64_const, cmp_f64_f64};
@@ -157,12 +158,14 @@ pub fn computed_column(
 }
 
 /// A compiled numeric lane: one broadcast constant (`COUNT(*)`'s `lit(1)`
-/// never materializes a per-repetition vector) or per-row `f64`s.
-pub enum NumVals {
+/// never materializes a per-repetition vector) or per-row `f64`s —
+/// borrowed straight from a `Float64` column, owned only when computed or
+/// widened.
+pub enum NumVals<'a> {
     /// One value broadcast to every row.
     Const(f64),
     /// Per-row values.
-    Col(Vec<f64>),
+    Col(Cow<'a, [f64]>),
 }
 
 /// Compile + evaluate `expr` as null-free per-row numerics (the aggregand
@@ -173,20 +176,20 @@ pub enum NumVals {
 /// instead: `eval_bool` maps null rows to `false` (the `as_bool`
 /// convention), while `as_f64(Null)` errors, so compiling one here would
 /// diverge from the scalar path.
-pub fn numeric_values(
+pub fn numeric_values<'a>(
     expr: &Expr,
     schema: &Schema,
-    lanes: &[Lane<'_>],
+    lanes: &[Lane<'a>],
     n: usize,
-) -> Option<NumVals> {
+) -> Option<NumVals<'a>> {
     if !vectorized_enabled() {
         return None;
     }
     if let Some(lane) = eval_num(expr, schema, lanes, n, false) {
         return Some(match lane.vals {
             FVals::Const(c) => NumVals::Const(c),
-            FVals::Slice(s) => NumVals::Col(s.to_vec()),
-            FVals::Owned(v) => NumVals::Col(v),
+            FVals::Slice(s) => NumVals::Col(Cow::Borrowed(s)),
+            FVals::Owned(v) => NumVals::Col(Cow::Owned(v)),
         });
     }
     let bool_root = matches!(expr, Expr::Not(_))
@@ -195,11 +198,11 @@ pub fn numeric_values(
         return None;
     }
     let mask = eval_bool(expr, schema, lanes, n)?;
-    Some(NumVals::Col(
+    Some(NumVals::Col(Cow::Owned(
         (0..n)
             .map(|i| if mask.get(i) { 1.0 } else { 0.0 })
             .collect(),
-    ))
+    )))
 }
 
 fn mask_to_bool_column(mask: Mask, n: usize) -> Option<Column> {
@@ -241,7 +244,7 @@ impl BinaryOp {
 
 /// Resolve a `Column` reference to its lane, or bail on unknown names
 /// (scalar will produce the error).
-fn lane_of<'a>(name: &str, schema: &Schema, lanes: &'a [Lane<'a>]) -> Option<Lane<'a>> {
+fn lane_of<'a>(name: &str, schema: &Schema, lanes: &[Lane<'a>]) -> Option<Lane<'a>> {
     let idx = schema.index_of(name).ok()?;
     lanes.get(idx).copied()
 }
@@ -288,7 +291,7 @@ fn always_null(expr: &Expr, schema: &Schema, lanes: &[Lane<'_>]) -> bool {
 fn eval_num<'a>(
     expr: &Expr,
     schema: &Schema,
-    lanes: &'a [Lane<'a>],
+    lanes: &[Lane<'a>],
     n: usize,
     allow_nulls: bool,
 ) -> Option<NumLane<'a>> {

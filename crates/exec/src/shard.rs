@@ -278,7 +278,7 @@ impl ExecBackend for ShardedBackend {
         final_predicate: Option<&Expr>,
         threads: usize,
     ) -> Result<QueryResultSamples> {
-        let (samples, partials, merge_ns) = aggregate::evaluate_aggregate_partials(
+        let (samples, partials) = aggregate::evaluate_aggregate_partials(
             set,
             agg,
             group_by,
@@ -287,7 +287,6 @@ impl ExecBackend for ShardedBackend {
             threads,
         )?;
         self.shards_spawned.fetch_add(partials, Ordering::Relaxed);
-        self.shard_merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
         Ok(samples)
     }
 

@@ -25,7 +25,9 @@
 //!
 //! * **Admission**: at most `max_inflight` queries execute at once; the
 //!   `max_inflight + 1`-th gets a typed `Busy` reply immediately (bounded
-//!   work, no unbounded queue build-up).  Draining servers reply
+//!   work, no unbounded queue build-up).  A query gives its slot back as
+//!   soon as it has executed, before its reply is written, so a client's
+//!   next query never races its own previous one.  Draining servers reply
 //!   `ShuttingDown`.
 //! * **Fairness**: each admitted query runs through a per-query
 //!   [`FairBackend`] that decomposes its work into
@@ -36,8 +38,8 @@
 //!   admitting, lets every in-flight query finish and deliver its full
 //!   response, then closes idle connections and joins all threads.  A
 //!   malformed frame kills only its own connection — the accept loop and
-//!   every other client are unaffected; a client that dies mid-query has
-//!   its slot reclaimed when the response write fails.
+//!   every other client are unaffected; a client that dies mid-query no
+//!   longer holds the drain once the response write fails.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -143,47 +145,67 @@ struct Shared {
 #[derive(Debug, Default)]
 struct Gate {
     draining: bool,
+    /// Admitted queries still executing — what the admission cap counts.
     inflight: usize,
+    /// Executed queries whose reply is still being written — no longer
+    /// holding an admission slot, but a drain waits for them too.
+    replying: usize,
 }
 
-/// What admission decided for one query.
-enum Admission {
-    Admitted,
+/// Why admission turned a query away.
+enum Refusal {
     Busy,
     Draining,
 }
 
-/// Releases an admission slot on every exit path — including a failed
-/// response write to a killed client.
+/// One admitted query's hold on the gate: an admission slot while it
+/// executes, then (after [`SlotGuard::release_admission`]) a pending reply
+/// that keeps a drain waiting.  Dropping it releases whichever it holds on
+/// every exit path — including a failed response write to a killed client.
 struct SlotGuard {
     shared: Arc<Shared>,
+    admitted: bool,
+}
+
+impl SlotGuard {
+    /// Give the admission slot back while the reply is still to be written.
+    fn release_admission(&mut self) {
+        if self.admitted {
+            let mut gate = self.shared.gate.lock().expect("gate");
+            gate.inflight -= 1;
+            gate.replying += 1;
+            self.admitted = false;
+        }
+    }
 }
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
         let mut gate = self.shared.gate.lock().expect("gate");
-        gate.inflight -= 1;
+        if self.admitted {
+            gate.inflight -= 1;
+        } else {
+            gate.replying -= 1;
+        }
         drop(gate);
         self.shared.drained.notify_all();
     }
 }
 
 impl Shared {
-    fn admit(self: &Arc<Self>) -> (Admission, Option<SlotGuard>) {
+    fn admit(self: &Arc<Self>) -> std::result::Result<SlotGuard, Refusal> {
         let mut gate = self.gate.lock().expect("gate");
         if gate.draining {
-            return (Admission::Draining, None);
+            return Err(Refusal::Draining);
         }
         if gate.inflight >= self.max_inflight {
-            return (Admission::Busy, None);
+            return Err(Refusal::Busy);
         }
         gate.inflight += 1;
-        (
-            Admission::Admitted,
-            Some(SlotGuard {
-                shared: Arc::clone(self),
-            }),
-        )
+        Ok(SlotGuard {
+            shared: Arc::clone(self),
+            admitted: true,
+        })
     }
 
     fn begin_drain(&self) {
@@ -203,7 +225,7 @@ impl Shared {
 
     fn wait_drained(&self) {
         let mut gate = self.gate.lock().expect("gate");
-        while !(gate.draining && gate.inflight == 0) {
+        while !(gate.draining && gate.inflight == 0 && gate.replying == 0) {
             gate = self.drained.wait(gate).expect("gate");
         }
     }
@@ -458,26 +480,37 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
                 reps,
                 master_seed,
             } => {
-                let reply = match shared.admit() {
-                    (Admission::Draining, _) => {
-                        wire::encode_error_reply(ReplyCode::ShuttingDown, "server is draining")
-                    }
-                    (Admission::Busy, _) => {
+                let (reply, _slot) = match shared.admit() {
+                    Err(Refusal::Draining) => (
+                        wire::encode_error_reply(ReplyCode::ShuttingDown, "server is draining"),
+                        None,
+                    ),
+                    Err(Refusal::Busy) => {
                         shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                        wire::encode_error_reply(
-                            ReplyCode::Busy,
-                            "admission cap reached; retry later",
+                        (
+                            wire::encode_error_reply(
+                                ReplyCode::Busy,
+                                "admission cap reached; retry later",
+                            ),
+                            None,
                         )
                     }
-                    (Admission::Admitted, guard) => {
-                        let _slot = guard;
+                    Ok(mut slot) => {
                         let query = MonteCarloQuery {
                             plan,
                             aggregate,
                             final_predicate,
                             group_by,
                         };
-                        match shared.run_query(&query, reps as usize, master_seed) {
+                        let outcome = shared.run_query(&query, reps as usize, master_seed);
+                        // The query has run, so its admission slot is free
+                        // before any reply byte goes out: a client that
+                        // reads its reply and at once sends its next query
+                        // must not find this one still holding the slot.
+                        // The guard stays alive until the reply is written,
+                        // so a drain still waits for it.
+                        slot.release_admission();
+                        match outcome {
                             Ok((samples, stats)) => {
                                 write_reply(
                                     &mut writer,
@@ -491,13 +524,15 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
                             // A deadlined query earns the typed Timeout
                             // code — retryable policy lives client-side —
                             // while everything else stays Internal.
-                            Err(e @ Error::Timeout(_)) => {
-                                wire::encode_error_reply(ReplyCode::Timeout, &e.to_string())
-                            }
-                            Err(e) => wire::encode_error_reply(ReplyCode::Internal, &e.to_string()),
+                            Err(e @ Error::Timeout(_)) => (
+                                wire::encode_error_reply(ReplyCode::Timeout, &e.to_string()),
+                                Some(slot),
+                            ),
+                            Err(e) => (
+                                wire::encode_error_reply(ReplyCode::Internal, &e.to_string()),
+                                Some(slot),
+                            ),
                         }
-                        // _slot drops here: the admission slot is released
-                        // whether the reply write below succeeds or not.
                     }
                 };
                 write_reply(&mut writer, &reply, faults)?;

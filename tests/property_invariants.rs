@@ -10,8 +10,12 @@
 
 use mcdbr::core::params::{h_c, staged_parameters_with_m};
 use mcdbr::core::{IndependentSumModel, ScalarCloner, TsSeed};
+use mcdbr::exec::aggregate::{aggregate_rows, evaluate_aggregate_threads};
 use mcdbr::exec::kernels::{numeric_values, predicate_mask, Lane, NumVals};
-use mcdbr::exec::Expr;
+use mcdbr::exec::{
+    aggregate_rep_range, merge_rep_partials, AggFunc, AggregateSpec, BundleSet, BundleValue,
+    ExecBackend, Expr, QueryResultSamples, ShardedBackend, StreamRegistry, TupleBundle, ValueChain,
+};
 use mcdbr::mcdb::ResultDistribution;
 use mcdbr::prng::Pcg64;
 use mcdbr::risk::value_at_risk;
@@ -344,6 +348,212 @@ fn numeric_value_lanes_match_scalar_eval_bitwise() {
     assert!(
         engaged > CASES as u32 / 2,
         "numeric lanes engaged on only {engaged}/{CASES} cases"
+    );
+}
+
+/// An aggregand value with the bit-exactness landmines mixed in: NaN,
+/// both zeros and both infinities.
+fn rand_agg_value(g: &mut Gen) -> f64 {
+    match g.u64_in(0, 10) {
+        0 => [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY][g.usize_in(0, 5)],
+        _ => g.f64_in(-100.0, 100.0),
+    }
+}
+
+/// A hand-built bundle set over `(g Int64 group key, k Float64 constant,
+/// x Float64 random)`: 1–3 groups, each bundle with no presence flags,
+/// partial flags (sometimes shorter than the repetition count, so the tail
+/// counts as absent) or all-false flags.
+fn rand_agg_set(g: &mut Gen, n: usize) -> BundleSet {
+    let groups = g.usize_in(1, 4) as u64;
+    let bundles = (0..g.usize_in(0, 12))
+        .map(|i| {
+            let is_pres = match g.u64_in(0, 3) {
+                0 => None,
+                1 => {
+                    let density = g.f64_in(0.0, 1.0);
+                    let len = if g.u64_in(0, 4) == 0 {
+                        g.usize_in(0, n + 1)
+                    } else {
+                        n
+                    };
+                    Some((0..len).map(|_| g.rng.next_f64() < density).collect())
+                }
+                _ => Some(vec![false; n]),
+            };
+            TupleBundle {
+                values: vec![
+                    BundleValue::Const(Value::Int64(g.u64_in(0, groups) as i64)),
+                    BundleValue::Const(Value::Float64(rand_agg_value(g))),
+                    BundleValue::Random {
+                        seed: i as u64,
+                        vg_row: 0,
+                        vg_col: 0,
+                        base_pos: 0,
+                        values: ValueChain::from_f64s((0..n).map(|_| rand_agg_value(g))),
+                    },
+                ],
+                is_pres,
+            }
+        })
+        .collect();
+    BundleSet {
+        schema: Schema::new(vec![
+            Field::int64("g"),
+            Field::float64("k"),
+            Field::float64("x"),
+        ]),
+        bundles,
+        registry: StreamRegistry::new(),
+        num_reps: n,
+    }
+}
+
+/// The scalar referee: per group key (first-seen order), per repetition,
+/// `aggregate_rows` over the rows of that group's bundles present in the
+/// repetition.
+fn referee_samples(
+    set: &BundleSet,
+    agg: &AggregateSpec,
+    grouped: bool,
+    pred: Option<&Expr>,
+) -> Vec<(Vec<Value>, Vec<f64>)> {
+    let key_of = |b: &TupleBundle| -> Vec<Value> {
+        if grouped {
+            vec![b.values[0].value_at(0)]
+        } else {
+            Vec::new()
+        }
+    };
+    let mut keys: Vec<Vec<Value>> = Vec::new();
+    for b in &set.bundles {
+        if !keys.contains(&key_of(b)) {
+            keys.push(key_of(b));
+        }
+    }
+    if keys.is_empty() && !grouped {
+        keys.push(Vec::new());
+    }
+    keys.into_iter()
+        .map(|key| {
+            let samples = (0..set.num_reps)
+                .map(|rep| {
+                    let rows: Vec<Vec<Value>> = set
+                        .bundles
+                        .iter()
+                        .filter(|b| key_of(b) == key && b.is_present(rep))
+                        .map(|b| b.row_at(rep))
+                        .collect();
+                    aggregate_rows(&set.schema, &rows, agg, pred).unwrap()
+                })
+                .collect();
+            (key, samples)
+        })
+        .collect()
+}
+
+fn assert_samples_match(got: &QueryResultSamples, want: &[(Vec<Value>, Vec<f64>)], ctx: &str) {
+    assert_eq!(got.groups.len(), want.len(), "{ctx}: group count");
+    for ((gk, gv), (wk, wv)) in got.groups.iter().zip(want) {
+        assert_eq!(gk, wk, "{ctx}: group order");
+        assert_eq!(gv.len(), wv.len(), "{ctx}: repetitions of group {wk:?}");
+        for (rep, (a, b)) in gv.iter().zip(wv).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{ctx}: group {wk:?} rep {rep}: {a} != {b}"
+            );
+        }
+    }
+}
+
+/// The columnar aggregate is bit-identical to the scalar referee
+/// (`aggregate_rows` over each repetition's present rows, per group) for
+/// all five functions, over constant and column aggregand lanes, every
+/// presence shape, with and without a final predicate, 1–3 groups and
+/// NaN/±0/±inf values — through every decomposition: thread counts 1–3,
+/// `ShardedBackend` at 1–7 shards, and random contiguous tilings through
+/// `aggregate_rep_range` + `merge_rep_partials`.
+#[test]
+fn columnar_aggregation_is_bit_identical_to_the_scalar_referee() {
+    let mut engaged = 0u32;
+    for case in 0..CASES {
+        let mut g = Gen::new(0x6167_6c6e ^ case);
+        let n = g.usize_in(1, 70);
+        let set = rand_agg_set(&mut g, n);
+        let aggregand = match g.u64_in(0, 3) {
+            0 => Expr::col("x"),
+            1 => Expr::col("k"),
+            _ => Expr::col("x").mul(Expr::lit(0.5)).add(Expr::col("k")),
+        };
+        let agg = match case % 5 {
+            0 => AggregateSpec::sum(aggregand, "a"),
+            1 => AggregateSpec::count("a"),
+            2 => AggregateSpec::avg(aggregand, "a"),
+            3 => AggregateSpec::min(aggregand, "a"),
+            _ => AggregateSpec::max(aggregand, "a"),
+        };
+        let pred = match g.u64_in(0, 3) {
+            0 => None,
+            1 => Some(Expr::col("x").gt(Expr::lit(g.f64_in(-50.0, 50.0)))),
+            _ => Some(
+                Expr::col("x")
+                    .lt(Expr::col("k"))
+                    .or(Expr::col("k").gt_eq(Expr::lit(0.0))),
+            ),
+        };
+        let pred = pred.as_ref();
+        let grouped = g.u64_in(0, 2) == 0;
+        let group_by: Vec<String> = if grouped { vec!["g".into()] } else { vec![] };
+        let ctx = format!(
+            "case {case}: {:?}({}) group_by {group_by:?} pred {pred:?} n {n}",
+            agg.func, agg.expr
+        );
+        if let Some(b) = set.bundles.first() {
+            let lanes: Vec<Lane<'_>> = b
+                .values
+                .iter()
+                .map(|v| match v {
+                    BundleValue::Const(c) => Lane::Const(c),
+                    chained => Lane::Col(chained.chain().unwrap().as_single().unwrap()),
+                })
+                .collect();
+            if agg.func == AggFunc::Count
+                || numeric_values(&agg.expr, &set.schema, &lanes, n).is_some()
+            {
+                engaged += 1;
+            }
+        }
+
+        let want = referee_samples(&set, &agg, grouped, pred);
+        for threads in 1..=3 {
+            let got = evaluate_aggregate_threads(&set, &agg, &group_by, pred, threads).unwrap();
+            assert_samples_match(&got, &want, &format!("{ctx}, {threads} threads"));
+        }
+        for shards in 1..=7 {
+            let got = ShardedBackend::new(shards)
+                .aggregate(&set, &agg, &group_by, pred, 2)
+                .unwrap();
+            assert_samples_match(&got, &want, &format!("{ctx}, {shards} shards"));
+        }
+        // A random contiguous tiling of 0..n, merged in shuffled order.
+        let mut cuts: Vec<usize> = (0..g.usize_in(0, 5))
+            .map(|_| g.usize_in(0, n + 1))
+            .collect();
+        cuts.extend([0, n]);
+        cuts.sort_unstable();
+        let mut partials: Vec<_> = cuts
+            .windows(2)
+            .map(|w| aggregate_rep_range(&set, &agg, &group_by, pred, w[0], w[1]).unwrap())
+            .collect();
+        let shift = g.usize_in(0, partials.len());
+        partials.rotate_left(shift);
+        let got = merge_rep_partials(&set, &agg, &group_by, partials).unwrap();
+        assert_samples_match(&got, &want, &format!("{ctx}, tiling {cuts:?}"));
+    }
+    assert!(
+        engaged > CASES as u32 / 2,
+        "columnar aggregation engaged on only {engaged}/{CASES} cases"
     );
 }
 

@@ -774,12 +774,28 @@ fn vectorized_kernels_are_bit_identical_to_forced_scalar_across_backends() {
     // their own process-global mode, so that leg additionally pins the
     // coordinator's scalar path against worker-side vectorized blocks.)
     use mcdbr::exec::{set_kernel_mode, KernelMode};
+    //
+    // Two shapes: a grouped, predicated SUM over the complex plan, and the
+    // Appendix D `total_loss_query` shape (TPC-H join, no final predicate,
+    // no group-by — the dense-lane aggregate) under all five functions,
+    // aggregated through each backend's own `aggregate`.
+    use mcdbr::exec::AggregateSpec;
     let (catalog, plan) = complex_case();
     let seed = 41;
     let blocks = [(0u64, 24usize), (24, 24), (48, 24), (7000, 9)];
-    let agg = mcdbr::exec::AggregateSpec::sum(Expr::col("loss"), "total");
+    let agg = AggregateSpec::sum(Expr::col("loss"), "total");
     let group = vec!["region".to_string()];
     let pred = Expr::col("scaled").lt(Expr::lit(9.0));
+    let tpch = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
+    let tpch_plan = tpch.total_loss_query().plan;
+    let val = || Expr::col("val");
+    let tpch_aggs = [
+        AggregateSpec::sum(val(), "totalLoss"),
+        AggregateSpec::count("n"),
+        AggregateSpec::avg(val(), "avgLoss"),
+        AggregateSpec::min(val(), "minLoss"),
+        AggregateSpec::max(val(), "maxLoss"),
+    ];
 
     let run = |mode: KernelMode| {
         set_kernel_mode(mode);
@@ -792,12 +808,23 @@ fn vectorized_kernels_are_bit_identical_to_forced_scalar_across_backends() {
             let mut session = ExecSession::prepare(&plan, &catalog, seed)
                 .unwrap()
                 .with_threads(2)
-                .with_backend(backend);
+                .with_backend(Arc::clone(&backend));
             for &(base, n) in &blocks {
                 let set = session.instantiate_block(&catalog, base, n).unwrap();
                 let samples =
                     evaluate_aggregate_threads(&set, &agg, &group, Some(&pred), 3).unwrap();
                 out.push((set, samples));
+            }
+            let mut session = ExecSession::prepare(&tpch_plan, &tpch.catalog, seed)
+                .unwrap()
+                .with_threads(2)
+                .with_backend(Arc::clone(&backend));
+            for &(base, n) in &blocks {
+                let set = session.instantiate_block(&tpch.catalog, base, n).unwrap();
+                for tpch_agg in &tpch_aggs {
+                    let samples = backend.aggregate(&set, tpch_agg, &[], None, 2).unwrap();
+                    out.push((set.clone(), samples));
+                }
             }
         }
         set_kernel_mode(KernelMode::Auto);
